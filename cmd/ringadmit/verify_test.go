@@ -89,4 +89,3 @@ func TestVerifyHistoryRequiresBase(t *testing.T) {
 		t.Fatalf("want -base requirement error, got %v", err)
 	}
 }
-

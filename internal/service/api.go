@@ -21,7 +21,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -263,28 +262,6 @@ type ExperimentResult struct {
 // ExperimentsResponse is the /v1/experiments result.
 type ExperimentsResponse struct {
 	Results []ExperimentResult `json:"results"`
-}
-
-// Encode renders a response body in the canonical form shared by the
-// server and the -json CLI modes: two-space-indented JSON with a trailing
-// newline. Cache entries store exactly these bytes, so a cache hit is
-// bit-identical to the original response.
-func Encode(v any) ([]byte, error) {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// encodeTraced is Encode under an "encode" span, so response marshalling
-// shows up as its own stage in traces and the stage-latency histograms.
-func encodeTraced(ctx context.Context, v any) ([]byte, error) {
-	_, sp := trace.Start(ctx, "encode")
-	defer sp.End()
-	b, err := Encode(v)
-	sp.SetError(err)
-	return b, err
 }
 
 // canonFloat collapses a float to its canonical value: -0 becomes +0, so

@@ -42,8 +42,12 @@ type cacheEntry struct {
 	body []byte
 }
 
+// size charges the entry what it keeps alive: the body's capacity, not
+// its length, so a body with slack (an io.ReadAll buffer, an append-grown
+// slice) cannot hold more memory than the budget admits. Encode returns
+// bodies with cap == len.
 func (e *cacheEntry) size() int64 {
-	return int64(len(e.key)) + int64(len(e.body)) + entryOverhead
+	return int64(len(e.key)) + int64(cap(e.body)) + entryOverhead
 }
 
 // NewCache returns a cache bounded by budgetBytes across all shards;
@@ -72,23 +76,29 @@ func (c *Cache) shard(key string) *cacheShard {
 // Get returns the cached body for key, marking it most recently used.
 // The returned slice is shared — callers must not modify it.
 func (c *Cache) Get(key string) ([]byte, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	el, ok := s.items[key]
-	var body []byte
-	if ok {
-		s.lru.MoveToFront(el)
-		// Read the body under the lock: a concurrent Put may replace
-		// el.Value in place.
-		body = el.Value.(*cacheEntry).body
-	}
-	s.mu.Unlock()
+	body, ok := c.peek(key)
 	if !ok {
 		c.misses.Add(1)
 		return nil, false
 	}
 	c.hits.Add(1)
 	return body, true
+}
+
+// peek is Get without the hit/miss counters, for a second look by a
+// caller whose first Get already counted.
+func (c *Cache) peek(key string) ([]byte, bool) {
+	s := c.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.items[key]
+	if !ok {
+		return nil, false
+	}
+	s.lru.MoveToFront(el)
+	// Read the body under the lock: a concurrent Put may replace
+	// el.Value in place.
+	return el.Value.(*cacheEntry).body, true
 }
 
 // Put stores body under key, evicting least-recently-used entries until

@@ -79,6 +79,29 @@ func TestCacheSkipsOversizedBodies(t *testing.T) {
 	}
 }
 
+// TestCacheChargesCapacity: a body's slack capacity stays alive with the
+// entry, so the budget charges cap, not len — a short body in a large
+// buffer counts as large, and one whose buffer outgrows a shard is not
+// cached at all.
+func TestCacheChargesCapacity(t *testing.T) {
+	c := NewCache(1 << 20)
+	slack := make([]byte, 10, 1000)
+	c.Put("k", slack)
+	if want := int64(len("k") + 1000 + entryOverhead); c.Bytes() != want {
+		t.Fatalf("Bytes()=%d for a len-10 cap-1000 body, want %d", c.Bytes(), want)
+	}
+	c.Put("k", slack[:10:10])
+	if want := int64(len("k") + 10 + entryOverhead); c.Bytes() != want {
+		t.Fatalf("Bytes()=%d after replacing with an exact body, want %d", c.Bytes(), want)
+	}
+
+	small := NewCache(4096) // shardBudget 256
+	small.Put("big-buffer", make([]byte, 10, 1024))
+	if _, ok := small.Get("big-buffer"); ok || small.Bytes() != 0 {
+		t.Errorf("body with 1024 bytes of capacity cached under a 256-byte shard budget (bytes=%d)", small.Bytes())
+	}
+}
+
 func TestCacheConcurrentAccess(t *testing.T) {
 	c := NewCache(1 << 20)
 	var wg sync.WaitGroup

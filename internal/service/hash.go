@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"strconv"
-	"strings"
 )
 
 // The cache key is a SHA-256 over a stable serialization of the
@@ -19,64 +18,87 @@ import (
 
 const keySchema = "ringsched/v1"
 
-// hasher accumulates the canonical serialization.
+// hasher accumulates the canonical serialization in one byte slice,
+// rendering every value with strconv's Append functions.
 type hasher struct {
-	b strings.Builder
+	b []byte
 }
 
-func newHasher(endpoint string) *hasher {
-	h := &hasher{}
-	h.b.WriteString(keySchema)
-	h.b.WriteByte('/')
-	h.b.WriteString(endpoint)
+// newHasher starts a serialization for endpoint; sizeHint is the
+// expected length of the fields to come, so the buffer is sized once.
+func newHasher(endpoint string, sizeHint int) *hasher {
+	h := &hasher{b: make([]byte, 0, len(keySchema)+1+len(endpoint)+sizeHint)}
+	h.b = append(h.b, keySchema...)
+	h.b = append(h.b, '/')
+	h.b = append(h.b, endpoint...)
 	return h
 }
 
-// field appends one named field; names are fixed literals, values are
-// pre-escaped by the typed helpers below.
-func (h *hasher) field(name, value string) {
-	h.b.WriteByte('|')
-	h.b.WriteString(name)
-	h.b.WriteByte('=')
-	h.b.WriteString(value)
+// field starts one named field; names are fixed literals, and the typed
+// helpers below append the escaped value.
+func (h *hasher) field(name string) {
+	h.b = append(h.b, '|')
+	h.b = append(h.b, name...)
+	h.b = append(h.b, '=')
 }
 
-func (h *hasher) str(name, v string) { h.field(name, strconv.Quote(v)) }
+func (h *hasher) str(name, v string) {
+	h.field(name)
+	h.b = strconv.AppendQuote(h.b, v)
+}
+
+func (h *hasher) appendFloat(v float64) {
+	h.b = strconv.AppendFloat(h.b, canonFloat(v), 'g', -1, 64)
+}
 
 func (h *hasher) float(name string, v float64) {
-	h.field(name, strconv.FormatFloat(canonFloat(v), 'g', -1, 64))
+	h.field(name)
+	h.appendFloat(v)
 }
 
-func (h *hasher) int(name string, v int64) { h.field(name, strconv.FormatInt(v, 10)) }
+func (h *hasher) int(name string, v int64) {
+	h.field(name)
+	h.b = strconv.AppendInt(h.b, v, 10)
+}
 
-func (h *hasher) bool(name string, v bool) { h.field(name, strconv.FormatBool(v)) }
+func (h *hasher) bool(name string, v bool) {
+	h.field(name)
+	h.b = strconv.AppendBool(h.b, v)
+}
 
 func (h *hasher) strs(name string, vs []string) {
-	quoted := make([]string, len(vs))
+	h.field(name)
 	for i, v := range vs {
-		quoted[i] = strconv.Quote(v)
+		if i > 0 {
+			h.b = append(h.b, ',')
+		}
+		h.b = strconv.AppendQuote(h.b, v)
 	}
-	h.field(name, strings.Join(quoted, ","))
 }
 
 func (h *hasher) floats(name string, vs []float64) {
-	parts := make([]string, len(vs))
+	h.field(name)
 	for i, v := range vs {
-		parts[i] = strconv.FormatFloat(canonFloat(v), 'g', -1, 64)
+		if i > 0 {
+			h.b = append(h.b, ',')
+		}
+		h.appendFloat(v)
 	}
-	h.field(name, strings.Join(parts, ","))
 }
 
 func (h *hasher) sum() string {
-	sum := sha256.Sum256([]byte(h.b.String()))
-	return hex.EncodeToString(sum[:])
+	sum := sha256.Sum256(h.b)
+	var hexSum [2 * sha256.Size]byte
+	hex.Encode(hexSum[:], sum[:])
+	return string(hexSum[:])
 }
 
 // CacheKey returns the canonical cache key of the request. The receiver
 // must already be canonical (see Canonicalize); the server and CLIs only
 // hash canonicalized requests.
 func (r AnalyzeRequest) CacheKey() string {
-	h := newHasher("analyze")
+	// A stream serializes to ~50 bytes plus its name.
+	h := newHasher("analyze", 128+64*len(r.Streams))
 	h.strs("protocols", r.Protocols)
 	h.float("bw", r.BandwidthMbps)
 	h.str("fault", r.FaultModel)
@@ -93,7 +115,7 @@ func (r AnalyzeRequest) CacheKey() string {
 // CacheKey returns the canonical cache key of the request. The receiver
 // must already be canonical (see Canonicalize).
 func (r SweepRequest) CacheKey() string {
-	h := newHasher("sweep")
+	h := newHasher("sweep", 128+24*len(r.BandwidthsMbps))
 	h.strs("protocols", r.Protocols)
 	h.floats("bw", r.BandwidthsMbps)
 	h.int("streams", int64(r.Streams))

@@ -59,7 +59,7 @@ func TestCanonFloatCollapsesNegativeZero(t *testing.T) {
 	// The property end to end: two canonical requests differing only in
 	// the zero's sign serialize identically. Zero is invalid for every
 	// request float, so exercise the hasher directly.
-	ha, hb := newHasher("probe"), newHasher("probe")
+	ha, hb := newHasher("probe", 0), newHasher("probe", 0)
 	ha.float("v", 0)
 	hb.float("v", neg)
 	if ha.sum() != hb.sum() {

@@ -92,9 +92,9 @@ func TestFlightRecorderDigests(t *testing.T) {
 func TestRequestsFilters(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
-	post(t, ts.URL+"/v1/analyze", analyzeBody)               // 200 analyze
-	post(t, ts.URL+"/v1/analyze", `{"bandwidthMbps": -3}`)   // 400 analyze
-	post(t, ts.URL+"/v1/sweep", smallSweepBody)              // 200 sweep
+	post(t, ts.URL+"/v1/analyze", analyzeBody)             // 200 analyze
+	post(t, ts.URL+"/v1/analyze", `{"bandwidthMbps": -3}`) // 400 analyze
+	post(t, ts.URL+"/v1/sweep", smallSweepBody)            // 200 sweep
 
 	if rb := getRequests(t, ts.URL, "?endpoint=analyze"); rb.Retained != 2 {
 		t.Fatalf("endpoint=analyze: want 2, got %d", rb.Retained)
@@ -245,12 +245,12 @@ func TestRingHistoryEndpoint(t *testing.T) {
 		RingID  string `json:"ringId"`
 		Version uint64 `json:"version"`
 		Records []struct {
-			Seq           uint64 `json:"seq"`
-			Op            string `json:"op"`
-			VersionBefore uint64 `json:"versionBefore"`
-			Version       uint64 `json:"version"`
-			TraceID       string `json:"traceId"`
-			Client        string `json:"client"`
+			Seq           uint64    `json:"seq"`
+			Op            string    `json:"op"`
+			VersionBefore uint64    `json:"versionBefore"`
+			Version       uint64    `json:"version"`
+			TraceID       string    `json:"traceId"`
+			Client        string    `json:"client"`
 			Time          time.Time `json:"time"`
 		} `json:"records"`
 	}

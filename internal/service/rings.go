@@ -294,9 +294,7 @@ func (s *Server) writeRingJSON(w http.ResponseWriter, status int, v any) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(body)
+	writeBody(w, status, body)
 }
 
 // handleRings serves the /v1/rings collection: POST creates a session,

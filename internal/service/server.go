@@ -573,6 +573,17 @@ func (s *Server) admit(ctx context.Context, endpoint, key string) error {
 	return te.WithRetryAfter(retryAfter)
 }
 
+// writeBody writes an encoded JSON body with its exact Content-Length,
+// so large bodies go out in one identity-framed response instead of
+// chunks, on this hop and on any that relays it.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	w.Write(body)
+}
+
 // decode parses a request body strictly.
 func decode(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
@@ -602,9 +613,8 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, k
 	}
 	lookup.End()
 	if cached {
-		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("X-Cache", "hit")
-		w.Write(body)
+		writeBody(w, http.StatusOK, body)
 		return
 	}
 	// Load shedding happens here — after the cache, before the pool — so
@@ -628,8 +638,16 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, k
 	// the leader's trace only: coalesced followers never run fn, so their
 	// traces record just the wait below.
 	parent := trace.SpanFromContext(r.Context())
-	viaPeer := false
+	viaPeer, lateHit := false, false
 	body, shared, err := s.flight.do(r.Context(), key, func(ctx context.Context) ([]byte, error) {
+		// An identical flight may have finished between this request's
+		// cache miss and its joining the flight group; that flight wrote
+		// the cache before leaving the group, so looking again here is
+		// what makes N concurrent identical requests compute exactly once.
+		if b, ok := s.cache.peek(key); ok {
+			lateHit = true
+			return b, nil
+		}
 		// The peer fill runs inside the flight group on purpose: every
 		// concurrent identical request on this process coalesces onto ONE
 		// outbound fill, and the owner coalesces fills from different
@@ -661,16 +679,17 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, k
 		writeError(w, statusFor(err), err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
 	switch {
 	case shared:
 		w.Header().Set("X-Cache", "coalesced")
+	case lateHit:
+		w.Header().Set("X-Cache", "hit")
 	case viaPeer:
 		w.Header().Set("X-Cache", "peer")
 	default:
 		w.Header().Set("X-Cache", "miss")
 	}
-	w.Write(body)
+	writeBody(w, http.StatusOK, body)
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
@@ -882,8 +901,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusInternalServerError, err)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(body)
+		writeBody(w, http.StatusOK, body)
 	case http.MethodPost:
 		var req ExperimentsRequest
 		if err := decode(r, &req); err != nil {
@@ -933,8 +951,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusInternalServerError, err)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(body)
+		writeBody(w, http.StatusOK, body)
 	default:
 		writeError(w, http.StatusMethodNotAllowed, errors.New("service: GET or POST required"))
 	}

@@ -473,3 +473,90 @@ func TestOversizedResultsStillServe(t *testing.T) {
 		t.Errorf("cache_bytes = %g, want 0", n)
 	}
 }
+
+// checkFramed asserts a 200 body arrived with its exact Content-Length
+// and without chunked framing.
+func checkFramed(t *testing.T, what string, resp *http.Response, body []byte) {
+	t.Helper()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: status %d: %s", what, resp.StatusCode, body)
+	}
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Errorf("%s: Content-Length %d, Transfer-Encoding %v, body %d bytes",
+			what, resp.ContentLength, resp.TransferEncoding, len(body))
+	}
+}
+
+// TestContentLengthOnEveryCachedPath: the miss, hit, coalesced and peer
+// answers of serveCached all send Content-Length, also for bodies far
+// past the size net/http would frame by itself.
+func TestContentLengthOnEveryCachedPath(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	payload, err := json.Marshal(request100())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := string(payload)
+
+	// Coalesced: hold the only worker slot so the leader queues, then let
+	// a follower join its flight.
+	release := occupyPool(t, s)
+	defer release()
+	type answer struct {
+		resp *http.Response
+		body []byte
+	}
+	answers := make(chan answer, 2)
+	send := func() {
+		resp, b := post(t, ts.URL+"/v1/analyze", body)
+		answers <- answer{resp, b}
+	}
+	go send()
+	waitForQueued(t, s, 1)
+	go send()
+	for deadline := time.Now().Add(2 * time.Second); s.flight.coalesced.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("follower never coalesced")
+		}
+	}
+	release()
+	seen := map[string]bool{}
+	for i := 0; i < 2; i++ {
+		a := <-answers
+		xc := a.resp.Header.Get("X-Cache")
+		seen[xc] = true
+		checkFramed(t, xc, a.resp, a.body)
+		if len(a.body) < 16<<10 {
+			t.Fatalf("%s body is only %d bytes; the test wants one net/http would chunk", xc, len(a.body))
+		}
+	}
+	if !seen["miss"] || !seen["coalesced"] {
+		t.Fatalf("X-Cache values %v, want miss and coalesced", seen)
+	}
+
+	resp, b := post(t, ts.URL+"/v1/analyze", body)
+	if xc := resp.Header.Get("X-Cache"); xc != "hit" {
+		t.Fatalf("third post X-Cache = %q, want hit", xc)
+	}
+	checkFramed(t, "hit", resp, b)
+
+	// Peer: a non-owner relays the owner's body.
+	tc := startTestCluster(t, 2, nil)
+	req := request100()
+	for tc.servers[0].clust.ring.Owner(mustCanon(t, req).CacheKey()) != tc.addrs[1] {
+		req.BandwidthMbps++
+	}
+	payload, err = json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, b = post(t, "http://"+tc.addrs[0]+"/v1/analyze", string(payload))
+	if xc := resp.Header.Get("X-Cache"); xc != "peer" {
+		t.Fatalf("non-owner X-Cache = %q, want peer", xc)
+	}
+	checkFramed(t, "peer", resp, b)
+	// The filled body is cached as read: exactly sized, no slack.
+	if cached, ok := tc.servers[0].cache.Get(mustCanon(t, req).CacheKey()); !ok || cap(cached) != len(cached) {
+		t.Errorf("peer-filled cache entry: ok=%v len=%d cap=%d, want an exact-capacity body", ok, len(cached), cap(cached))
+	}
+}

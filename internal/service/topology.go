@@ -70,7 +70,7 @@ func (r TopologyRequest) Canonicalize() (TopologyRequest, error) {
 // CacheKey returns the canonical hash of the request. Call on the result
 // of Canonicalize.
 func (r TopologyRequest) CacheKey() string {
-	h := newHasher("topology/analyze")
+	h := newHasher("topology/analyze", 32+len(r.Topology))
 	h.str("spec", r.Topology)
 	h.bool("detail", r.Detail)
 	return h.sum()

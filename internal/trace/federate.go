@@ -181,7 +181,8 @@ type DebugServer struct {
 	Peers func() []string
 	// Fetch retrieves one member's records for a trace. The callee must
 	// suppress its own re-scatter when appropriate (the local=1 query
-	// parameter); required when Peers is set.
+	// parameter); required when Peers is set. Fetch is called from one
+	// goroutine per peer at once, so it must be safe for concurrent use.
 	Fetch func(ctx context.Context, member, traceID string) ([]Record, error)
 	// ScatterTimeout bounds the whole fan-out (default 2s).
 	ScatterTimeout time.Duration

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -240,6 +241,8 @@ func TestDebugServerFederation(t *testing.T) {
 		"peer1:1": {rec("t1", "b", "a", "http.analyze", 2, 300)},
 		"peer2:2": {rec("t1", "c", "b", "peer.fill", 3, 100)},
 	}
+	// scatter calls Fetch from one goroutine per peer.
+	var fetchMu sync.Mutex
 	var fetched []string
 	ds := &DebugServer{
 		Ring: ring,
@@ -248,7 +251,9 @@ func TestDebugServerFederation(t *testing.T) {
 			return []string{"peer2:2", "peer1:1"}
 		},
 		Fetch: func(ctx context.Context, member, traceID string) ([]Record, error) {
+			fetchMu.Lock()
 			fetched = append(fetched, member)
+			fetchMu.Unlock()
 			if traceID != "t1" {
 				return nil, nil
 			}

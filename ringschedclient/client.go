@@ -360,7 +360,7 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 		return response{}, err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	raw, err := readBody(resp)
 	if err != nil {
 		return response{}, err
 	}
@@ -368,6 +368,24 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 		return response{body: raw, header: resp.Header}, nil
 	}
 	return response{}, decodeAPIError(resp, raw)
+}
+
+// maxBody caps how much of a response body a call reads.
+const maxBody = 64 << 20
+
+// readBody reads a response body of at most maxBody bytes. A body with a
+// declared Content-Length (ringschedd sends one on every JSON body) is
+// read into one buffer of exactly that size: peer fills cache these
+// bytes as they are, and the cache charges a body's capacity.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxBody {
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, buf); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, maxBody))
 }
 
 // decodeAPIError turns a non-2xx response into a typed *APIError,

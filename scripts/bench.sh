@@ -2,7 +2,8 @@
 # Regenerate a benchmark report (canonical baseline: BENCH_PR4.json;
 # the ring-edit incremental-vs-full numbers are recorded in BENCH_PR9.json,
 # the observability-plane hot paths — flight-recorder record and audit
-# append — in BENCH_PR10.json).
+# append — in BENCH_PR10.json, the serving-path response encode and
+# cache key of a 100-stream detail request in BENCH_PR13.json).
 #
 # Usage:
 #   scripts/bench.sh [out.json]
@@ -20,7 +21,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 out="${1:-BENCH_PR4.json}"
-pattern="${BENCH_PATTERN:-^(BenchmarkExactTestReference|BenchmarkRTAReference|BenchmarkWorkspace(ExactTest|RTA|Probe)|Benchmark(PDP|TTP)Probe(Bind)?|BenchmarkAnalyzeBatch|BenchmarkSaturate(TTP|PDP)(Reference)?|BenchmarkTheorem(41|51)|BenchmarkFig1Experiment|BenchmarkAnalyzeTopologySingleRing|BenchmarkResilienceAdmit|BenchmarkRingEdit(Incremental|IncrementalTTP|Full)|BenchmarkAuditAppend|BenchmarkFlightRecorderRecord)$}"
+pattern="${BENCH_PATTERN:-^(BenchmarkExactTestReference|BenchmarkRTAReference|BenchmarkWorkspace(ExactTest|RTA|Probe)|Benchmark(PDP|TTP)Probe(Bind)?|BenchmarkAnalyzeBatch|BenchmarkSaturate(TTP|PDP)(Reference)?|BenchmarkTheorem(41|51)|BenchmarkFig1Experiment|BenchmarkAnalyzeTopologySingleRing|BenchmarkResilienceAdmit|BenchmarkRingEdit(Incremental|IncrementalTTP|Full)|BenchmarkAuditAppend|BenchmarkFlightRecorderRecord|BenchmarkEncodeAnalyzeDetail|BenchmarkCacheKey)$}"
 count="${BENCH_COUNT:-3}"
 benchtime="${BENCH_TIME:-0.5s}"
 
